@@ -256,7 +256,7 @@ def _generate(
         globals_.append(f"static uint64_t chk{i};")
 
     if reusable:
-        from repro.inproc.abi import ABI_VERSION, result_buffer_size
+        from repro.inproc.abi import ABI_VERSION, ResultLayout
 
         reset_fn = _emit_case_reset(
             prog, plan, layout, ctx, store_inits, globals_
@@ -270,7 +270,7 @@ def _generate(
         lib_fn = _emit_lib_exports(
             prog, plan, layout, options,
             abi_version=ABI_VERSION,
-            result_size=result_buffer_size(layout, plan, options),
+            result_size=ResultLayout(layout, plan, options).size,
         )
         chunks = [
             runtime_header(), "\n".join(globals_), "", reset_fn, "",

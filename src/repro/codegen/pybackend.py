@@ -21,7 +21,7 @@ import numpy as np
 from repro.actors.math_ops import _MATH_FNS, _ROUNDING_FNS, int_param
 from repro.actors.sources import LCG_INC, LCG_MUL, lcg_next
 from repro.dtypes import DType, coerce_float
-from repro.dtypes.arith import _trunc_div, _trunc_mod, wrap
+from repro.dtypes.arith import _F32_OVERFLOW_EDGE, _trunc_div, _trunc_mod, wrap
 from repro.model.errors import CodegenError
 from repro.schedule.program import EvalGuard, FlatProgram
 
@@ -656,21 +656,18 @@ def generate_py_step(prog: FlatProgram, *, sync_batch: int = 64) -> str:
     module = [
         "# Generated Python simulation module (Rapid-Accelerator backend).",
         "import math as _math",
-        "import numpy as _np",
         "from repro.actors.math_ops import (",
         "    _MATH_FNS as _MF, _ROUNDING_FNS as _RF, c_pow as _pow,",
         "    c_round as _cround, c_sqrt as _sqrt,",
         ")",
         "from repro.codegen.pybackend import (",
-        "    _fdiv, _fdiv32, _fmod, make_int_helpers,",
+        "    _c32, _fdiv, _fdiv32, _fmod, make_int_helpers,",
         ")",
         "_sin = _math.sin",
         # repr() spells non-finite floats as bare names (nan, inf, -inf);
         # bind them so every repr'd parameter is a valid expression here.
         "nan = _math.nan",
         "inf = _math.inf",
-        "def _c32(x):",
-        "    return float(_np.float32(x))",
     ]
     for op in _MATH_FNS:
         module.append(f"_math_{op} = _MF[{op!r}]")
@@ -724,9 +721,19 @@ def _fdiv(a: float, b: float) -> float:
     return a / b
 
 
+def _c32(x: float) -> float:
+    """Narrow to IEEE single precision.  Beyond single range the value
+    overflows to inf silently, as C's narrowing conversion does (the
+    same discipline as :func:`repro.dtypes.coerce_float`)."""
+    if -_F32_OVERFLOW_EDGE < x < _F32_OVERFLOW_EDGE:
+        return float(np.float32(x))
+    with np.errstate(over="ignore"):
+        return float(np.float32(x))
+
+
 def _fdiv32(a: float, b: float) -> float:
     """checked_div (f32 path) without flags."""
-    return float(np.float32(_fdiv(a, b)))
+    return _c32(_fdiv(a, b))
 
 
 def _fmod(a: float, b: float) -> float:

@@ -53,12 +53,7 @@ from repro.codegen.driver import (
     parse_result,
 )
 from repro.engines.base import SimulationOptions, SimulationResult
-from repro.inproc.abi import (
-    decode_coverage,
-    decode_result,
-    encode_case_binary,
-    result_buffer_size,
-)
+from repro.inproc.abi import ResultLayout, encode_case_binary
 from repro.inproc.library import LibraryFault, LoadedModel
 from repro.inproc.parallel import InstancePool, default_instance_pool
 from repro.instrument import build_plan
@@ -127,7 +122,9 @@ class CompiledModel:
 
     Produced by :func:`compile_model`.  The binary is specialized on the
     program and the structural options only; stimuli, step counts, and
-    per-case deadlines are streamed to it at run time.
+    per-case deadlines are streamed to it at run time.  The in-process
+    result format of that program shape is built once, as
+    :attr:`result_layout`, and lives exactly as long as this handle.
     """
 
     prog: FlatProgram
@@ -142,10 +139,12 @@ class CompiledModel:
     _inproc_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+    result_layout: ResultLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._fingerprint:
             self._fingerprint = _structural_fingerprint(self.options)
+        self.result_layout = ResultLayout(self.layout, self.plan, self.options)
 
     @property
     def cache_hit(self) -> bool:
@@ -350,12 +349,7 @@ class CompiledModel:
         wanting parallelism load one per thread.
         """
         shared = self.compiled.ensure_shared()
-        return LoadedModel(
-            shared,
-            result_size=result_buffer_size(
-                self.layout, self.plan, self.options
-            ),
-        )
+        return LoadedModel(shared, result_size=self.result_layout.size)
 
     def _instance_key(self) -> str:
         """This model's key in the process-wide instance pool.
@@ -364,8 +358,7 @@ class CompiledModel:
         cache, so distinct handles over the same structure share warm
         instances."""
         return InstancePool.instance_key(
-            self.compiled.ensure_shared(),
-            result_buffer_size(self.layout, self.plan, self.options),
+            self.compiled.ensure_shared(), self.result_layout.size
         )
 
     def _acquire_instance(self) -> "tuple[str, LoadedModel]":
@@ -398,14 +391,7 @@ class CompiledModel:
         buf = lib.run_case(record)
         execute_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = decode_result(
-            buf,
-            self.prog,
-            self.plan,
-            self.layout,
-            options,
-            engine="accmos",
-        )
+        result = self.result_layout.decode(buf, self.prog.model.name, options)
         parse_seconds = time.perf_counter() - t0
         outcome = self._finalize(
             result,
@@ -661,7 +647,8 @@ class CompiledModel:
 
         The guided-fuzz replay path: runs each case on the in-process
         library and slices just the coverage words out of the packed
-        result buffer (:func:`repro.inproc.abi.decode_coverage`),
+        result buffer (:meth:`ResultLayout.decode_coverage
+        <repro.inproc.abi.ResultLayout.decode_coverage>`),
         skipping output/diagnostic/monitor decoding entirely.  One entry
         per case, in order — a ``{Metric: Bitmap}`` dict, or ``None``
         for cases that timed out or when the model collects no
@@ -704,10 +691,9 @@ class CompiledModel:
                     if lib is not None:
                         try:
                             buf = lib.run_case(records[index])
-                            probes.append(decode_coverage(
-                                buf, self.layout, self.plan,
-                                normalized[index][0],
-                            ))
+                            probes.append(
+                                self.result_layout.decode_coverage(buf)
+                            )
                             telemetry.counter_inc("engine.inproc.probes")
                             continue
                         except LibraryFault as exc:

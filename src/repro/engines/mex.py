@@ -46,21 +46,18 @@ def compile_mex_functions(
     emitter = _PyEmit(prog)
     module_lines = [
         "import math as _math",
-        "import numpy as _np",
         "from repro.actors.math_ops import (",
         "    _MATH_FNS as _MF, _ROUNDING_FNS as _RF, c_pow as _pow,",
         "    c_round as _cround, c_sqrt as _sqrt,",
         ")",
         "from repro.codegen.pybackend import (",
-        "    _fdiv, _fdiv32, _fmod, make_int_helpers,",
+        "    _c32, _fdiv, _fdiv32, _fmod, make_int_helpers,",
         ")",
         "_sin = _math.sin",
         # repr() spells non-finite floats as bare names (nan, inf, -inf);
         # bind them so every repr'd parameter is a valid expression here.
         "nan = _math.nan",
         "inf = _math.inf",
-        "def _c32(x):",
-        "    return float(_np.float32(x))",
         "globals().update(make_int_helpers())",
     ]
     from repro.actors.math_ops import _MATH_FNS, _ROUNDING_FNS

@@ -12,10 +12,9 @@ the GIL around ``acc_lib_run_case``, so N instances run on N cores).
 
 from repro.inproc.abi import (
     ABI_VERSION,
+    ResultLayout,
     decode_case_binary,
-    decode_result,
     encode_case_binary,
-    result_buffer_size,
 )
 from repro.inproc.library import LibraryFault, LoadedModel
 from repro.inproc.parallel import InstancePool, default_instance_pool
@@ -25,9 +24,8 @@ __all__ = [
     "InstancePool",
     "LibraryFault",
     "LoadedModel",
+    "ResultLayout",
     "decode_case_binary",
-    "decode_result",
     "default_instance_pool",
     "encode_case_binary",
-    "result_buffer_size",
 ]

@@ -21,7 +21,7 @@ Case record::
         int64   tab_len
         tab_len x (float64 | int64) table values
 
-Result buffer (size is :func:`result_buffer_size`, also exported by the
+Result buffer (size is :attr:`ResultLayout.size`, also exported by the
 library as ``acc_lib_result_size()`` for the load-time handshake)::
 
     int64   steps_run
@@ -38,6 +38,8 @@ library as ``acc_lib_result_size()`` for the load-time handshake)::
                                              order, LSB = lowest point
     per diagnosis slot: int64 first (-1 = never), uint64 count
     per monitor: uint64 n, then n x (int64 step, uint64 value bits)
+                                             (packed back to back; each
+                                             n <= monitor_limit)
 
 All words are little-endian (every supported target is), which also
 makes the record bytes deterministic for content-addressed tests.
@@ -133,15 +135,6 @@ class _Cursor:
     def f64(self) -> float:
         return _F64.unpack(self.raw8())[0]
 
-    def value(self, dtype) -> object:
-        """Decode one value word the way the C side encoded it."""
-        raw = self.raw8()
-        if dtype.is_float:
-            return _F64.unpack(raw)[0]
-        if dtype.is_signed:
-            return _I64.unpack(raw)[0]
-        return _U64.unpack(raw)[0]
-
 
 def decode_case_binary(data: bytes) -> dict:
     """Parse a case record back into plain Python (conformance tests)."""
@@ -173,150 +166,170 @@ def decode_case_binary(data: bytes) -> dict:
     return record
 
 
-_METRIC_ORDER = (Metric.ACTOR, Metric.CONDITION, Metric.DECISION, Metric.MCDC)
+def _value_code(dtype) -> str:
+    """The ``struct`` code of one value word, as the C side encoded it:
+    floats widened to double bits, integers sign- or zero-extended."""
+    if dtype.is_float:
+        return "d"
+    return "q" if dtype.is_signed else "Q"
 
 
-def _metric_sizes(plan) -> list[tuple[Metric, int]]:
-    points = plan.points
-    return [
-        (Metric.ACTOR, points.n_actor),
-        (Metric.CONDITION, points.n_condition),
-        (Metric.DECISION, points.n_decision),
-        (Metric.MCDC, points.n_mcdc),
-    ]
+class ResultLayout:
+    """The packed result format of one compiled program shape.
 
+    Built once per program shape — the :class:`ProgramLayout`, the
+    instrumentation plan, and the compile-relevant options — and the one
+    place that knows the byte layout: the generated
+    ``ACC_LIB_RESULT_SIZE`` and the load-time handshake both read
+    :attr:`size`, and :meth:`decode` and :meth:`decode_coverage` read
+    the buffer.
 
-def result_buffer_size(layout, plan, options: SimulationOptions) -> int:
-    """Exact byte size of the packed result for this program shape.
-
-    Must agree word for word with the writer ``codegen.compose`` emits
-    (the generated ``ACC_LIB_RESULT_SIZE``); the load-time handshake
-    cross-checks the two.  Monitors reserve their full ``monitor_limit``
-    worth of samples — the written prefix is shorter when fewer fired.
+    The fixed region (header, checksums, output bits, coverage words,
+    diagnostic ``(first, count)`` pairs) is one precompiled
+    ``struct.Struct``; each monitor is one ``iter_unpack`` of its ``n``
+    ``(step, value)`` pairs.  Monitors reserve their full
+    ``monitor_limit`` worth of samples, so a well-formed buffer of
+    :attr:`size` bytes holds every monitor's written prefix.
     """
-    n_out = len(layout.outports)
-    size = 8 * 4  # steps_run, halt_step, elapsed, flags
-    if options.checksum:
-        size += 8 * n_out
-    size += 8 * n_out  # output bits
-    if plan.coverage_enabled:
-        for _metric, n in _metric_sizes(plan):
-            size += 8 * ((n + 63) // 64)
-    size += 16 * len(layout.diag_slots)
-    mon_limit = max(1, options.monitor_limit)
-    size += len(layout.monitors) * (8 + 16 * mon_limit)
-    return size
 
-
-def decode_coverage(
-    buf: bytes,
-    layout,
-    plan,
-    options: SimulationOptions,
-) -> Optional[dict[Metric, Bitmap]]:
-    """Slice ONLY the coverage words out of a filled result buffer.
-
-    The cheap path for coverage probing (``repro corpus replay``): skips
-    output/diagnostic/monitor reconstruction entirely and seeks straight
-    to the coverage region, whose offset is fixed by the layout.  Returns
-    ``None`` when the program collects no coverage or when the per-case
-    deadline tripped (a truncated run's bitmap would under-report and
-    poison an accumulated map).
-    """
-    if not plan.coverage_enabled:
-        return None
-    flags = _U64.unpack_from(buf, 24)[0]
-    if flags & 1:  # deadline_exceeded
-        return None
-    n_out = len(layout.outports)
-    offset = 8 * 4  # steps_run, halt_step, elapsed, flags
-    if options.checksum:
-        offset += 8 * n_out
-    offset += 8 * n_out  # output bits
-    bitmaps: dict[Metric, Bitmap] = {}
-    for metric, n in _metric_sizes(plan):
-        n_words = (n + 63) // 64
-        words = list(struct.unpack_from(f"<{n_words}Q", buf, offset))
-        offset += 8 * n_words
-        bitmaps[metric] = Bitmap.from_words(n, words)
-    return bitmaps
-
-
-def decode_result(
-    buf: bytes,
-    prog,
-    plan,
-    layout,
-    options: SimulationOptions,
-    *,
-    engine: str = "accmos",
-) -> SimulationResult:
-    """Decode one filled result buffer into a :class:`SimulationResult`.
-
-    Mirrors :func:`repro.codegen.driver.parse_result` line for line —
-    same static-warning seeding, same coverage/diagnostic/monitor
-    reconstruction — so inproc results compare byte-identical to every
-    other rung's.
-    """
-    cur = _Cursor(buf)
-    steps_run = cur.i64()
-    halt_step = cur.i64()
-    elapsed = cur.f64()
-    flags = cur.u64()
-
-    checksums: dict[str, int] = {}
-    if options.checksum:
-        for name, _dtype in layout.outports:
-            checksums[name] = cur.u64()
-    outputs: dict[str, object] = {}
-    for name, dtype in layout.outports:
-        # Floats travel widened to double (like the text %a path).
-        value = cur.raw8()
-        if dtype.is_float:
-            outputs[name] = _F64.unpack(value)[0]
-        elif dtype.is_signed:
-            outputs[name] = _I64.unpack(value)[0]
-        else:
-            outputs[name] = _U64.unpack(value)[0]
-
-    coverage = None
-    if plan.coverage_enabled:
-        bitmaps: dict[Metric, Bitmap] = {}
-        for metric, n in _metric_sizes(plan):
-            words = [cur.u64() for _ in range((n + 63) // 64)]
-            bitmaps[metric] = Bitmap.from_words(n, words)
-        coverage = CoverageReport.from_bitmaps(plan.points, bitmaps)
-
-    log = DiagnosticLog()
-    for event in plan.static_warnings:
-        log.add_static(event.path, event.kind, event.message)
-    for slot in range(len(layout.diag_slots)):
-        first = cur.i64()
-        count = cur.u64()
-        if first >= 0:
-            path, kind, message = layout.diag_slots[slot]
-            log.set_aggregate(path, kind, first, count, message)
-
-    monitored: dict[str, list] = {mon.path: [] for mon in layout.monitors}
-    for mon in layout.monitors:
-        n = cur.u64()
-        for _ in range(n):
-            step = cur.i64()
-            monitored[mon.path].append((step, cur.value(mon.dtype)))
-
-    result = SimulationResult(
-        engine=engine,
-        model_name=prog.model.name,
-        steps_requested=options.steps,
-        steps_run=steps_run,
-        wall_time=elapsed,
-        outputs=outputs,
-        checksums=checksums,
-        coverage=coverage,
-        diagnostics=log.events(),
-        halted_at=None if halt_step < 0 else halt_step,
-        monitored=monitored,
+    __slots__ = (
+        "layout", "plan", "checksum", "monitor_limit", "size",
+        "_fixed", "_names", "_coverage", "_diag_at", "_monitors",
     )
-    if flags & 1:
-        result.extra["deadline_exceeded"] = True
-    return result
+
+    def __init__(self, layout, plan, options: SimulationOptions) -> None:
+        self.layout = layout
+        self.plan = plan
+        self.checksum = options.checksum
+        self.monitor_limit = max(1, options.monitor_limit)
+        self._names = [name for name, _dtype in layout.outports]
+        codes = ["qqdQ"]  # steps_run, halt_step, elapsed, flags
+        if options.checksum:
+            codes.append("Q" * len(self._names))
+        codes.extend(_value_code(dtype) for _name, dtype in layout.outports)
+        # (metric, points, first word index, word count) per metric.
+        self._coverage: list[tuple[Metric, int, int, int]] = []
+        if plan.coverage_enabled:
+            points = plan.points
+            at = sum(map(len, codes))
+            for metric, n in (
+                (Metric.ACTOR, points.n_actor),
+                (Metric.CONDITION, points.n_condition),
+                (Metric.DECISION, points.n_decision),
+                (Metric.MCDC, points.n_mcdc),
+            ):
+                n_words = (n + 63) // 64
+                self._coverage.append((metric, n, at, n_words))
+                codes.append("Q" * n_words)
+                at += n_words
+        self._diag_at = sum(map(len, codes))
+        codes.append("qQ" * len(layout.diag_slots))
+        self._fixed = struct.Struct("<" + "".join(codes))
+        self._monitors = [
+            (mon.path, struct.Struct("<q" + _value_code(mon.dtype)))
+            for mon in layout.monitors
+        ]
+        self.size = self._fixed.size + len(self._monitors) * (
+            8 + 16 * self.monitor_limit
+        )
+
+    def _check_size(self, buf: bytes) -> None:
+        if len(buf) < self.size:
+            raise SimulationError(
+                f"inproc result buffer truncated: {len(buf)} of "
+                f"{self.size} bytes"
+            )
+
+    def _bitmaps(self, words: Sequence[int]) -> dict[Metric, Bitmap]:
+        return {
+            metric: Bitmap.from_words(n, words[at : at + n_words])
+            for metric, n, at, n_words in self._coverage
+        }
+
+    def decode_coverage(self, buf: bytes) -> Optional[dict[Metric, Bitmap]]:
+        """Only the coverage words of a filled result buffer.
+
+        The cheap path for coverage probing (``repro corpus replay``):
+        skips output/diagnostic/monitor reconstruction.  ``None`` when the
+        program collects no coverage or when the per-case deadline
+        tripped (a truncated run's bitmap would under-report and poison
+        an accumulated map).
+        """
+        if not self._coverage:
+            return None
+        self._check_size(buf)
+        words = self._fixed.unpack_from(buf)
+        if words[3] & 1:  # deadline_exceeded
+            return None
+        return self._bitmaps(words)
+
+    def decode(
+        self, buf: bytes, model_name: str, options: SimulationOptions
+    ) -> SimulationResult:
+        """Decode one filled result buffer into a :class:`SimulationResult`.
+
+        Mirrors :func:`repro.codegen.driver.parse_result` — same
+        static-warning seeding, same coverage/diagnostic/monitor
+        reconstruction — so inproc results compare byte-identical to
+        every other rung's.  ``options`` is the case's own (for
+        ``steps_requested``).  A monitor count above ``monitor_limit``
+        or a buffer shorter than :attr:`size` raises
+        :class:`SimulationError` instead of being misparsed.
+        """
+        self._check_size(buf)
+        words = self._fixed.unpack_from(buf)
+        steps_run, halt_step, elapsed, flags = words[:4]
+        n_out = len(self._names)
+        at = 4
+        checksums: dict[str, int] = {}
+        if self.checksum:
+            checksums = dict(zip(self._names, words[at : at + n_out]))
+            at += n_out
+        outputs = dict(zip(self._names, words[at : at + n_out]))
+
+        coverage = None
+        if self._coverage:
+            coverage = CoverageReport.from_bitmaps(
+                self.plan.points, self._bitmaps(words)
+            )
+
+        log = DiagnosticLog()
+        for event in self.plan.static_warnings:
+            log.add_static(event.path, event.kind, event.message)
+        diag = words[self._diag_at :]
+        for (path, kind, message), first, count in zip(
+            self.layout.diag_slots, diag[0::2], diag[1::2]
+        ):
+            if first >= 0:
+                log.set_aggregate(path, kind, first, count, message)
+
+        monitored: dict[str, list] = {}
+        view = memoryview(buf)
+        pos = self._fixed.size
+        for path, pair in self._monitors:
+            n = _U64.unpack_from(buf, pos)[0]
+            if n > self.monitor_limit:
+                raise SimulationError(
+                    f"inproc result: monitor {path!r} reports {n} samples, "
+                    f"above the limit of {self.monitor_limit}"
+                )
+            start = pos + 8
+            pos = start + 16 * n
+            monitored[path] = list(pair.iter_unpack(view[start:pos]))
+
+        result = SimulationResult(
+            engine="accmos",
+            model_name=model_name,
+            steps_requested=options.steps,
+            steps_run=steps_run,
+            wall_time=elapsed,
+            outputs=outputs,
+            checksums=checksums,
+            coverage=coverage,
+            diagnostics=log.events(),
+            halted_at=None if halt_step < 0 else halt_step,
+            monitored=monitored,
+        )
+        if flags & 1:
+            result.extra["deadline_exceeded"] = True
+        return result

@@ -76,6 +76,27 @@ class TestOracle:
             report = run_case(generate_case(seed), rungs=("sse_ac", "sse_rac"))
             assert report.agreed, report.divergences
 
+    def test_f32_overflow_is_silent(self):
+        """Narrowing an out-of-range double to f32 overflows to inf, as
+        in C; the generated Python rungs must not warn about it."""
+        import warnings
+
+        from repro.fuzz.driver import FuzzConfig, case_seed
+
+        # Case 22 of ``repro fuzz --seed 777000`` (model Fuzz16) narrows
+        # an overflowing double in both generated modules.
+        config = FuzzConfig()
+        case = generate_case(
+            case_seed(777000, 22),
+            max_actors=config.max_actors,
+            steps=config.steps,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_case(case, rungs=("sse_ac", "sse_rac"))
+        assert report.agreed, report.divergences
+        assert [str(w.message) for w in caught] == []
+
     @requires_cc
     def test_all_rungs_agree(self):
         report = run_case(generate_case(3), rungs=available_rungs())

@@ -275,6 +275,71 @@ def test_handshake_rejects_abi_and_size_mismatch(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the result decoder: one precompiled layout, bounded reads
+# ----------------------------------------------------------------------
+def _filled_result(opts):
+    """A model over the kinds program and one real result buffer."""
+    prog = _kinds_model()
+    model = compile_model(prog, opts, cache=False, artifact="shared")
+    descriptors = descriptors_for(prog, KIND_CASES["sine"]())
+    lib = model.load()
+    try:
+        buf = lib.run_case(
+            encode_case_binary(descriptors, steps=opts.steps)
+        )
+    finally:
+        lib.retire()
+    return model, buf
+
+
+@requires_shared
+def test_result_decoder_rejects_monitor_count_over_limit():
+    """A corrupt monitor count that still fits inside the buffer (it
+    would read the next monitor's samples) is refused, not misparsed."""
+    from repro.model.errors import SimulationError
+
+    opts = SimulationOptions(steps=20, collect="all", monitor_limit=4)
+    model, buf = _filled_result(opts)
+    result_layout = model.result_layout
+    assert len(buf) == result_layout.size
+    n_monitors = len(model.layout.monitors)
+    assert n_monitors >= 2
+    decoded = result_layout.decode(buf, "Kinds", opts)
+    assert all(len(s) == 4 for s in decoded.monitored.values())
+
+    first_count = result_layout.size - n_monitors * (8 + 16 * 4)
+    corrupt = bytearray(buf)
+    corrupt[first_count : first_count + 8] = (5).to_bytes(8, "little")
+    with pytest.raises(SimulationError, match="above the limit of 4"):
+        result_layout.decode(bytes(corrupt), "Kinds", opts)
+
+
+@requires_shared
+def test_result_decoder_rejects_truncated_buffer():
+    from repro.model.errors import SimulationError
+
+    opts = SimulationOptions(steps=20, coverage=True, diagnostics=True)
+    model, buf = _filled_result(opts)
+    result_layout = model.result_layout
+    assert result_layout.decode_coverage(buf) is not None
+    for cut in (buf[:-8], buf[:16], b""):
+        with pytest.raises(SimulationError, match="truncated"):
+            result_layout.decode(cut, "Kinds", opts)
+        with pytest.raises(SimulationError, match="truncated"):
+            result_layout.decode_coverage(cut)
+
+
+@requires_shared
+def test_result_decoder_steps_requested_is_per_case():
+    """One layout serves every case: steps_requested comes from the
+    case's options, not from the options the model was compiled with."""
+    opts = SimulationOptions(steps=20)
+    model, buf = _filled_result(opts)
+    other = SimulationOptions(steps=7)
+    assert model.result_layout.decode(buf, "Kinds", other).steps_requested == 7
+
+
+# ----------------------------------------------------------------------
 # per-case deadlines, enforced inside the library
 # ----------------------------------------------------------------------
 @requires_shared
@@ -381,6 +446,44 @@ def test_campaign_inproc_one_gcc_zero_spawns(zoo_programs, tmp_path, monkeypatch
     assert outcome.n_cases >= 1
     assert gcc_calls["n"] == 1
     assert cache.stats().misses == 1
+
+
+@requires_shared
+@pytest.mark.parametrize("threads", [1, 2])
+def test_campaign_releases_its_program_and_decoder(monkeypatch, threads):
+    """The result decoder lives and dies with its CompiledModel: once a
+    campaign ends, nothing keeps its FlatProgram, plan or layout alive
+    (a process-wide decoder cache would pin one per campaign)."""
+    import gc
+    import weakref
+
+    import repro.engines.accmos as accmos_mod
+    from repro.campaign import run_campaign
+
+    refs = []
+    real_compile = accmos_mod.compile_model
+
+    def tracking_compile(*args, **kwargs):
+        model = real_compile(*args, **kwargs)
+        refs.extend(
+            weakref.ref(obj)
+            for obj in (model, model.prog, model.plan, model.layout)
+        )
+        return model
+
+    monkeypatch.setattr(accmos_mod, "compile_model", tracking_compile)
+    prog, _ = ZOO[sorted(ZOO)[0]]()
+    prog = preprocess(prog)
+    refs.append(weakref.ref(prog))
+    outcome = run_campaign(
+        prog, steps=STEPS, max_cases=4, batch_size=2,
+        serve=False, inproc=True, threads=threads,
+    )
+    assert outcome.n_cases >= 1
+    assert len(refs) > 1  # the campaign compiled through the tracker
+    del prog, outcome
+    gc.collect()
+    assert [ref() for ref in refs if ref() is not None] == []
 
 
 @requires_shared
